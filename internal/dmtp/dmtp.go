@@ -1,9 +1,10 @@
 // Package dmtp holds the substrate-agnostic DMTP protocol engines: the
 // state machines that define the protocol's behaviour — encapsulation and
-// pacing (SenderEngine: Encap + Pacer), mode upgrade, stash, NAK service
-// and cumulative trim (BufferEngine), and sequence-gap detection, NAK
-// scheduling with capped jittered exponential backoff, reorder/flush and
-// the destination timeliness check (ReceiverEngine).
+// pacing (SenderEngine: Encap + Pacer), stash, NAK service and
+// cumulative trim (BufferEngine), the reshaping relay built on it — flow
+// table, mode upgrade, stash journal (RelayEngine) — and sequence-gap
+// detection, NAK scheduling with capped jittered exponential backoff,
+// reorder/flush and the destination timeliness check (ReceiverEngine).
 //
 // The engines never touch a socket, a simulator loop, or the wall clock
 // directly. They are driven purely through three narrow contracts:

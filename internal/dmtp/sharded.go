@@ -11,21 +11,17 @@ import "repro/internal/wire"
 // goroutines.
 //
 // Like BufferEngine itself, ShardedBuffer is not self-synchronizing: it
-// contains no locks. The adapter serializes access per shard (the live
-// relay holds one mutex per shard; the simulator's single event loop
-// needs none). Methods that touch every shard — Crash, Restart, Down,
-// BufferedBytes, Stats — require the caller to hold every shard's
-// serialization.
+// contains no locks. Its user serializes access per shard (RelayEngine
+// keeps one mutex per shard, which the live relay holds; the simulator's
+// single event loop needs none). BufferedBytes and Stats touch every
+// shard and require the caller to hold every shard's serialization.
 type ShardedBuffer struct {
 	shards []*BufferEngine
 }
 
 // NewShardedBuffer builds n shards (n < 1 is treated as 1) by calling
-// mk once per shard index. The constructor indirection lets each
-// adapter choose per-shard wiring: the live relay gives every shard its
-// own stats struct (read under different locks); the simulator points
-// all shards at one shared stats struct, which is sound because a
-// single goroutine drives them.
+// mk once per shard index; each shard should count into its own stats
+// (RelayEngine gives every shard a private BufferStats).
 func NewShardedBuffer(n int, mk func(shard int) *BufferEngine) *ShardedBuffer {
 	if n < 1 {
 		n = 1
@@ -75,34 +71,10 @@ func (s *ShardedBuffer) Stash(exp wire.ExperimentID, seq uint64, pkt []byte) {
 	s.Shard(exp).Stash(exp, seq, pkt)
 }
 
-// ServeNAK routes the NAK to the shard owning its experiment's stash.
-func (s *ShardedBuffer) ServeNAK(nak *wire.NAK) {
-	s.Shard(nak.Experiment).ServeNAK(nak)
-}
-
 // Trim drops stashed packets for exp with seq <= cum on its shard.
 func (s *ShardedBuffer) Trim(exp wire.ExperimentID, cum uint64) {
 	s.Shard(exp).Trim(exp, cum)
 }
-
-// Crash crashes every shard: all stashes are released, all shards mark
-// themselves down. Sequence counters survive, as on BufferEngine.
-func (s *ShardedBuffer) Crash() {
-	for _, sh := range s.shards {
-		sh.Crash()
-	}
-}
-
-// Restart brings every shard back into service with cold stashes.
-func (s *ShardedBuffer) Restart() {
-	for _, sh := range s.shards {
-		sh.Restart()
-	}
-}
-
-// Down reports whether the buffer is crashed. Shards crash and restart
-// together, so the first shard's state speaks for all.
-func (s *ShardedBuffer) Down() bool { return s.shards[0].Down() }
 
 // BufferedBytes sums stash occupancy across shards.
 func (s *ShardedBuffer) BufferedBytes() int {
@@ -113,19 +85,8 @@ func (s *ShardedBuffer) BufferedBytes() int {
 	return total
 }
 
-// CapacityBytes sums the per-shard capacity bounds.
-func (s *ShardedBuffer) CapacityBytes() int {
-	total := 0
-	for _, sh := range s.shards {
-		total += sh.CapacityBytes()
-	}
-	return total
-}
-
-// Stats sums per-shard counter snapshots. Callers that pointed every
-// shard at one shared BufferStats (the simulator) must read that struct
-// directly instead — summing shared counters would multiply them by
-// the shard count.
+// Stats sums per-shard counter snapshots. A relay crashes every shard
+// together, so Crashes counts one per shard per crash.
 func (s *ShardedBuffer) Stats() BufferStats {
 	var agg BufferStats
 	for _, sh := range s.shards {

@@ -74,7 +74,7 @@ func TestShardedBufferPartitions(t *testing.T) {
 
 	// A NAK for one experiment is served from its shard and nowhere else.
 	req := wire.AddrFrom(10, 0, 0, 9, 900)
-	sb.ServeNAK(&wire.NAK{
+	sb.Shard(exps[0]).ServeNAK(&wire.NAK{
 		Experiment: exps[0],
 		Requester:  req,
 		Ranges:     []wire.SeqRange{{From: 1, To: 2}},
@@ -115,20 +115,17 @@ func TestShardedBufferPartitions(t *testing.T) {
 		}
 	}
 
-	// Crash/Restart sweep every shard; sequence counters survive.
-	sb.Crash()
-	if !sb.Down() {
-		t.Fatal("not down after Crash")
+	// Crashing every shard empties the stash and sums one crash per
+	// shard; sequence counters survive.
+	for i := 0; i < shards; i++ {
+		sb.At(i).Crash()
+		sb.At(i).Restart()
 	}
 	if sb.BufferedBytes() != 0 {
 		t.Fatal("stash survived crash")
 	}
 	if st := sb.Stats(); st.Crashes != shards {
 		t.Fatalf("crashes %d, want one per shard (%d)", st.Crashes, shards)
-	}
-	sb.Restart()
-	if sb.Down() {
-		t.Fatal("still down after Restart")
 	}
 	for _, exp := range exps {
 		if got := sb.NextSeq(exp); got != 4 {

@@ -110,15 +110,18 @@ func (rig *chaosRig) deliveredTracked() int {
 
 // driveUntilDelivered sends flush messages (which advance the sequence
 // space and so reveal any dropped-tail gaps) until want distinct tracked
-// payloads have been delivered and no gaps remain outstanding.
+// payloads have been delivered, then stops sending and waits, within the
+// same deadline, for the detected gaps to drain. Flushing on while they
+// drain would keep opening fresh gaps whenever the relay injects drops.
 func (rig *chaosRig) driveUntilDelivered(want int, timeout time.Duration) {
 	rig.t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if rig.deliveredTracked() >= want && rig.recv.OutstandingGaps() == 0 {
+		if rig.deliveredTracked() < want {
+			rig.snd.Send([]byte("flush"), 0)
+		} else if rig.recv.OutstandingGaps() == 0 {
 			return
 		}
-		rig.snd.Send([]byte("flush"), 0)
 		time.Sleep(2 * time.Millisecond)
 	}
 	rig.t.Fatalf("timed out: delivered %d/%d tracked payloads, %d gaps outstanding\nrecv %+v\nsender %+v\nrelay %+v\nplan %s",

@@ -175,10 +175,10 @@ func TestLiveJournaledRelayProcessReopen(t *testing.T) {
 	// The old process assigned sequences 1..n for experiment 42 slice 0;
 	// the journal's floor must stop the new process from reusing them.
 	exp := wire.NewExperimentID(42, 0)
-	sh := r2.shards[r2.sb.ShardIndex(exp)]
-	sh.mu.Lock()
-	next := sh.eng.NextSeq(exp)
-	sh.mu.Unlock()
+	sh := r2.eng.Shard(exp)
+	sh.Lock()
+	next := sh.NextSeq(exp)
+	sh.Unlock()
 	if next != n+1 {
 		t.Fatalf("sequence numbering regressed: next=%d want %d", next, n+1)
 	}

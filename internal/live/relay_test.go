@@ -8,6 +8,7 @@ package live
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,8 +30,8 @@ func mode0Pkt(t *testing.T, exp uint32, payload string) []byte {
 }
 
 // TestRelayFlowIdleExpiry drives the flow table on a fake clock: a flow
-// idle past FlowTTL is dropped by the sweep the next burst triggers, and
-// counted in dmtp.relay.flows.expired.
+// idle past dmtp.FlowTTL is dropped by the sweep the next burst
+// triggers, and counted in dmtp.relay.flows.expired.
 func TestRelayFlowIdleExpiry(t *testing.T) {
 	recv, err := NewReceiver(ReceiverConfig{Listen: "127.0.0.1:0"})
 	if err != nil {
@@ -42,7 +43,6 @@ func TestRelayFlowIdleExpiry(t *testing.T) {
 	relay, err := NewRelay(RelayConfig{
 		Listen:  "127.0.0.1:0",
 		Forward: recv.Addr(),
-		FlowTTL: time.Second,
 		Clock:   fc,
 	})
 	if err != nil {
@@ -60,9 +60,9 @@ func TestRelayFlowIdleExpiry(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, func() bool { return relay.FlowStats().Active == 1 }, "flow A registration")
 
-	// Two fake seconds of idleness, then a packet on a second flow: the
+	// Just over a TTL of idleness, then a packet on a second flow: the
 	// burst triggers the sweep, which must expire only the idle flow.
-	fc.AdvanceTo(int64(2 * time.Second))
+	fc.AdvanceTo(int64(dmtp.FlowTTL) + 1)
 	sndB, err := NewSender(relay.Addr(), 702)
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +80,72 @@ func TestRelayFlowIdleExpiry(t *testing.T) {
 	flows := relay.Flows()
 	if len(flows) != 1 || flows[0].Experiment != wire.NewExperimentID(702, 0) {
 		t.Fatalf("surviving flows: %+v", flows)
+	}
+}
+
+// TestRelayIngressValidation sends single datagrams through a real
+// relay. The receive loop validates each packet once, when it partitions
+// the burst; the shard pass trusts that check, so a malformed packet must
+// still be neither forwarded nor stashed, while valid packets are.
+func TestRelayIngressValidation(t *testing.T) {
+	exp := wire.NewExperimentID(61, 0)
+	upgraded := func() []byte {
+		h := wire.Header{ConfigID: 1, Features: wire.FeatSequenced, Experiment: exp}
+		h.Seq.Seq = 1
+		enc, err := h.AppendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(enc, "payload"...)
+	}
+	cases := []struct {
+		name      string
+		pkt       []byte
+		forwarded uint64
+		stashed   uint64
+	}{
+		{"mode 0 is upgraded and stashed", mode0Pkt(t, 61, "payload"), 1, 1},
+		{"upgraded passes through unstashed", upgraded(), 1, 0},
+		{"runt is dropped", []byte{0, 0, 0}, 0, 0},
+		{"truncated extension is dropped", upgraded()[:wire.CoreHeaderLen+2], 0, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sink, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sink.Close()
+			relay, err := NewRelay(RelayConfig{Listen: "127.0.0.1:0", Forward: sink.LocalAddr().String()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer relay.Close()
+			raddr, err := net.ResolveUDPAddr("udp4", relay.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, err := net.DialUDP("udp4", nil, raddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+
+			// A valid sentinel on another experiment follows the packet
+			// under test; once it is forwarded, the relay has handled both.
+			for _, pkt := range [][]byte{tc.pkt, mode0Pkt(t, 62, "sentinel")} {
+				if _, err := conn.Write(pkt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, 5*time.Second, func() bool { return relay.Stats().Forwarded >= tc.forwarded+1 }, "sentinel forward")
+			if got := relay.Stats().Forwarded; got != tc.forwarded+1 {
+				t.Fatalf("forwarded %d packets, want %d plus the sentinel", got, tc.forwarded)
+			}
+			if got := relay.eng.Stats().Buffered; got != tc.stashed+1 {
+				t.Fatalf("stashed %d packets, want %d plus the sentinel", got, tc.stashed)
+			}
+		})
 	}
 }
 
@@ -264,26 +330,27 @@ func TestRelayMultiFlowForwardAllocs(t *testing.T) {
 	seq := uint64(0)
 	burst := func() {
 		seq++
-		for si, sh := range relay.shards {
-			sh.mu.Lock()
+		for si := range relay.queues {
+			sh, q := relay.eng.At(si), &relay.queues[si]
+			sh.Lock()
 			for _, f := range flows {
-				if relay.sb.ShardIndex(f.exp) != si {
+				if relay.eng.ShardIndex(f.exp) != si {
 					continue
 				}
-				relay.handleShardLocked(sh, relay.bc, f.pkt, f.src, 0)
+				relay.handleLocked(sh, q, relay.bc, f.pkt, f.src, 0)
 			}
-			relay.flushShardLocked(sh, relay.bc)
+			relay.flushLocked(sh, q, relay.bc)
 			if seq%16 == 0 {
 				// Cumulative trim releases the stash back to the packet
 				// pool, as a downstream ACK would — without it the stash
 				// grows and GetBuffer must allocate fresh buffers.
 				for _, f := range flows {
-					if relay.sb.ShardIndex(f.exp) == si {
-						sh.eng.Trim(f.exp, seq)
+					if relay.eng.ShardIndex(f.exp) == si {
+						sh.Trim(f.exp, seq)
 					}
 				}
 			}
-			sh.mu.Unlock()
+			sh.Unlock()
 		}
 	}
 	for i := 0; i < 64; i++ {
@@ -325,7 +392,7 @@ func TestRelayShardTortureManyFlows(t *testing.T) {
 	// Collect experiment numbers that all land on shard 0.
 	var exps []uint32
 	for e := uint32(900); len(exps) < 6; e++ {
-		if relay.sb.ShardIndex(wire.NewExperimentID(e, 0)) == 0 {
+		if relay.eng.ShardIndex(wire.NewExperimentID(e, 0)) == 0 {
 			exps = append(exps, e)
 		}
 	}

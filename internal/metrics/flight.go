@@ -161,8 +161,8 @@ type frSlot struct {
 
 // FlightRecorder is a fixed-size lock-free ring of recent protocol events —
 // the always-on black box of the live daemons, dumped on demand via the
-// /events debug endpoint (the role internal/trace's Tap plays for the
-// simulator, but cheap enough to leave running in production). Recording
+// /events debug endpoint, and the simulator's event log (stamped with
+// virtual time) — cheap enough to leave running in production. Recording
 // never allocates, never takes a lock, and overwrites the oldest events
 // once the ring is full.
 //
