@@ -95,7 +95,7 @@ func main() {
 		case <-tick.C:
 			st := recv.Stats()
 			fmt.Printf("delivered %d  recovered %d  lost %d  naks %d  aged %d  late %d  | latency %v\n",
-				st.Delivered, st.Recovered, st.PermanentLoss, st.NAKsSent, st.Aged, st.Late, recv.LatencyHist)
+				st.Delivered, st.Recovered, st.PermanentLoss, st.NAKsSent, st.Aged, st.Late, recv.LatencySummary())
 		case <-sig:
 			fmt.Printf("\nfinal: %+v\n", recv.Stats())
 			if *traceOut != "" {

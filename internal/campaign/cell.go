@@ -212,7 +212,6 @@ func runCell(cell Cell, spec Spec) CellResult {
 		MaxSeqJump:  4096,
 		AckInterval: 2 * time.Millisecond,
 		Ordered:     cell.Workload == "steady",
-		Counters:    plan.Counters(),
 		Recorder:    recvRec,
 		OnMessage: func(m core.Message) {
 			now := time.Duration(nw.Now())

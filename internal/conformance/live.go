@@ -44,7 +44,6 @@ func RunLive(sc Scenario) (*Transcript, error) {
 		MaxNAKs:     sc.MaxNAKs,
 		Seed:        sc.Seed,
 		Clock:       fc,
-		Counters:    plan.Counters(),
 		OnMessage: func(m live.Message) {
 			mu.Lock()
 			tr.Delivered = append(tr.Delivered, Delivery{Seq: m.Seq, Recovered: m.Recovered})
@@ -101,10 +100,8 @@ func RunLive(sc Scenario) (*Transcript, error) {
 				return false
 			}
 			rs := relay.Stats() // re-read: NAK service may have retransmitted
-			drops := plan.Counters().Get(faults.CounterDropScripted) +
-				plan.Counters().Get(faults.CounterDropFlap)
-			expected := rs.Forwarded + rs.Retransmits +
-				plan.Counters().Get(faults.CounterDuplicate) - drops
+			inj := plan.Injected()
+			expected := rs.Forwarded + rs.Retransmits + inj.Duplicate - inj.Drops()
 			mu.Lock()
 			dispatched := uint64(len(tr.Delivered))
 			mu.Unlock()

@@ -173,7 +173,6 @@ func RunSimMultiFlow(sc MultiFlowScenario) *MultiFlowResult {
 		NAKRetryMax: sc.NAKRetryMax,
 		MaxNAKs:     sc.MaxNAKs,
 		Seed:        sc.Seed,
-		Counters:    plan.Counters(),
 		OnMessage: func(m core.Message) {
 			if tr := trOf(m.Experiment); tr != nil {
 				tr.Delivered = append(tr.Delivered, Delivery{Seq: m.Seq, Recovered: m.Recovered})
@@ -271,7 +270,6 @@ func RunLiveMultiFlow(sc MultiFlowScenario) (*MultiFlowResult, error) {
 		MaxNAKs:     sc.MaxNAKs,
 		Seed:        sc.Seed,
 		Clock:       fc,
-		Counters:    plan.Counters(),
 		OnMessage: func(m live.Message) {
 			mu.Lock()
 			dispatched++
@@ -332,10 +330,8 @@ func RunLiveMultiFlow(sc MultiFlowScenario) (*MultiFlowResult, error) {
 				return false
 			}
 			rs := relay.Stats()
-			drops := plan.Counters().Get(faults.CounterDropScripted) +
-				plan.Counters().Get(faults.CounterDropFlap)
-			expected := rs.Forwarded + rs.Retransmits +
-				plan.Counters().Get(faults.CounterDuplicate) - drops
+			inj := plan.Injected()
+			expected := rs.Forwarded + rs.Retransmits + inj.Duplicate - inj.Drops()
 			mu.Lock()
 			d := dispatched
 			mu.Unlock()

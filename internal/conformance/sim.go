@@ -47,7 +47,6 @@ func RunSim(sc Scenario) *Transcript {
 		NAKRetryMax: sc.NAKRetryMax,
 		MaxNAKs:     sc.MaxNAKs,
 		Seed:        sc.Seed,
-		Counters:    plan.Counters(),
 		OnMessage: func(m core.Message) {
 			tr.Delivered = append(tr.Delivered, Delivery{Seq: m.Seq, Recovered: m.Recovered})
 		},

@@ -42,9 +42,6 @@ type ReceiverConfig struct {
 	// OnNAK, when non-nil, observes every NAK sent (experiment and
 	// requested ranges); the conformance suite records these.
 	OnNAK func(exp wire.ExperimentID, ranges []wire.SeqRange)
-	// Counters, when non-nil, records recoveries and permanent losses
-	// (normally shared with a faults.Plan's counter set).
-	Counters *telemetry.CounterSet
 	// AckInterval, when nonzero, emits cumulative ACKs to the buffer so
 	// it can trim acknowledged packets.
 	AckInterval time.Duration
@@ -143,7 +140,6 @@ func NewReceiverHandler(nw *netsim.Network, cfg ReceiverConfig) *Receiver {
 			Ordered:         cfg.Ordered,
 			OnGap:           cfg.OnGap,
 			OnNAK:           cfg.OnNAK,
-			Counters:        cfg.Counters,
 			FinalizePayload: r.finalizePayload,
 			Deliver:         r.handOver,
 			Stats:           &r.Stats,

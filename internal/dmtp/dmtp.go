@@ -16,10 +16,9 @@
 //   - Datapath: "send these bytes to this address". Substrates decide
 //     what an address means (a netsim node, a UDP endpoint) and obey the
 //     ownership contract documented on the interface.
-//   - Telemetry sinks: a stats struct the engine increments in place,
-//     optional telemetry.Histogram pointers, and an optional shared
-//     telemetry.CounterSet (normally a faults.Plan's), so injected-vs-
-//     recovered accounting spans both substrates.
+//   - Telemetry sinks: a stats struct the engine increments in place and
+//     optional telemetry.Histogram pointers. The stats struct is the only
+//     place a count lives; adapters export it through metrics.Registry.
 //
 // internal/core and internal/live are thin adapters over these engines:
 // every protocol change lands on both substrates by construction, and the

@@ -91,9 +91,6 @@ type ReceiverConfig struct {
 	// OnNAK observes every NAK the engine emits (after it was handed to
 	// the datapath); the conformance suite records these.
 	OnNAK func(exp wire.ExperimentID, ranges []wire.SeqRange)
-	// Counters, when non-nil, records recoveries and permanent losses
-	// (normally shared with a faults.Plan's counter set).
-	Counters *telemetry.CounterSet
 	// FinalizePayload extracts the delivered payload from a view. The
 	// returned bytes outlive the Ingest call; substrates whose views
 	// alias transient buffers must copy here. Nil means "always copy".
@@ -316,7 +313,6 @@ func (e *ReceiverEngine) Ingest(v wire.View) {
 			msg.Recovered = true
 			recDetected, recNAKs = m.detected, m.naks
 			e.stats.Recovered++
-			e.cfg.Counters.Inc(telemetry.CounterRecovered)
 			e.cfg.Recorder.RecordAt(now, metrics.EvRecovered, uint64(exp), seq, uint64(m.naks))
 			if e.cfg.RecoveryHist != nil {
 				e.cfg.RecoveryHist.ObserveDuration(time.Duration(now - m.detected))
@@ -496,7 +492,6 @@ func (e *ReceiverEngine) fireNAKs(st *rxStream) {
 			delete(st.missing, seq)
 			st.received[seq] = true // write off so the floor advances
 			e.stats.Lost++
-			e.cfg.Counters.Inc(telemetry.CounterPermanentLoss)
 			e.cfg.Recorder.RecordAt(now, metrics.EvWriteOff, uint64(st.exp), seq, uint64(m.naks))
 			if e.cfg.OnGap != nil {
 				e.cfg.OnGap(st.exp, seq)

@@ -51,7 +51,6 @@ func newE5Path(simSeed int64, spec faults.Spec, rcfg core.ReceiverConfig) *e5Pat
 	dtn1Addr := wire.AddrFrom(10, 0, 1, 1, 7000)
 	recvAddr := wire.AddrFrom(10, 0, 2, 1, 7000)
 
-	rcfg.Counters = p.plan.Counters()
 	rcfg.OnMessage = func(m core.Message) {
 		if m.Seq != 0 {
 			p.seen[m.Seq] = true
@@ -107,7 +106,7 @@ func (p *e5Path) row(label string, sent uint64) E5Row {
 		Recovered:     st.Recovered,
 		Lost:          st.Lost,
 		NAKsSent:      st.NAKsSent,
-		InjectedDrops: p.plan.Counters().Total("inject.drop."),
+		InjectedDrops: p.plan.Injected().Drops(),
 		Crashes:       p.dtn1.Stats().Crashes,
 		RecoveryP50:   time.Duration(p.receiver.RecoveryHist.Quantile(0.5)),
 		RecoveryP99:   time.Duration(p.receiver.RecoveryHist.Quantile(0.99)),

@@ -63,7 +63,6 @@ func TraceOWD(messages int, seed int64) TraceOWDResult {
 		NAKRetryMax: 12 * time.Millisecond,
 		MaxNAKs:     3,
 		Seed:        seed,
-		Counters:    plan.Counters(),
 		Tracer:      tracer,
 	})
 	dtn := core.NewBufferNode(nw, "dtn", wire.AddrFrom(10, 0, 1, 1, 7000), core.BufferConfig{

@@ -8,9 +8,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/daq"
 	"repro/internal/faults"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -24,6 +24,7 @@ type chaosPath struct {
 	dtn1     *core.BufferNode
 	receiver *core.Receiver
 	plan     *faults.Plan
+	reg      *metrics.Registry // the receiver's exports
 
 	seen     map[uint64]int    // delivered sequenced messages, by seq
 	contents map[uint64][]byte // first delivered payload bytes, by seq
@@ -35,6 +36,7 @@ func newChaosPath(t *testing.T, simSeed int64, spec faults.Spec, rcfg core.Recei
 	p := &chaosPath{
 		nw:       netsim.New(simSeed),
 		plan:     faults.New(spec),
+		reg:      metrics.NewRegistry(),
 		seen:     make(map[uint64]int),
 		contents: make(map[uint64][]byte),
 	}
@@ -42,7 +44,6 @@ func newChaosPath(t *testing.T, simSeed int64, spec faults.Spec, rcfg core.Recei
 	dtn1Addr := wire.AddrFrom(10, 0, 1, 1, 7000)
 	recvAddr := wire.AddrFrom(10, 0, 2, 1, 7000)
 
-	rcfg.Counters = p.plan.Counters()
 	rcfg.OnMessage = func(m core.Message) {
 		if m.Seq != 0 {
 			p.seen[m.Seq]++
@@ -60,6 +61,7 @@ func newChaosPath(t *testing.T, simSeed int64, spec faults.Spec, rcfg core.Recei
 	}
 	rcfg.OnGap = func(_ wire.ExperimentID, seq uint64) { p.gaps = append(p.gaps, seq) }
 	p.receiver = core.NewReceiver(p.nw, "recv", recvAddr, rcfg)
+	p.receiver.RegisterMetrics(p.reg)
 
 	p.dtn1 = core.NewBufferNode(p.nw, "dtn1", dtn1Addr, core.BufferConfig{
 		UpgradeFrom: core.ModeBare.ConfigID,
@@ -81,6 +83,19 @@ func newChaosPath(t *testing.T, simSeed int64, spec faults.Spec, rcfg core.Recei
 		netsim.LinkConfig{RateBps: netsim.Gbps(100), Delay: 5 * time.Millisecond, Fault: faults.SimFault(p.plan)},
 		netsim.LinkConfig{RateBps: netsim.Gbps(100), Delay: 5 * time.Millisecond})
 	return p
+}
+
+// metric reads one value the receiver exports through RegisterMetrics;
+// sample it after the run has drained.
+func (p *chaosPath) metric(t *testing.T, name string) uint64 {
+	t.Helper()
+	for _, s := range p.reg.Snapshot() {
+		if s.Name == name {
+			return uint64(s.Value)
+		}
+	}
+	t.Fatalf("metric %s not exported", name)
+	return 0
 }
 
 func (p *chaosPath) stream(count uint64, seed int64) {
@@ -145,12 +160,11 @@ func TestSimChaosRelayRestartUnderBurstLoss(t *testing.T) {
 	if p.dtn1.Stats().Crashes != 1 {
 		t.Fatalf("crashes %d", p.dtn1.Stats().Crashes)
 	}
-	c := p.plan.Counters()
-	if c.Get(faults.CounterDropBurst) == 0 {
-		t.Fatalf("no burst drops recorded: %s", c)
+	if inj := p.plan.Injected(); inj.DropBurst == 0 {
+		t.Fatalf("no burst drops recorded: %+v", inj)
 	}
-	if c.Get(telemetry.CounterRecovered) != st.Recovered {
-		t.Fatalf("counter %d != stats %d", c.Get(telemetry.CounterRecovered), st.Recovered)
+	if got := p.metric(t, metrics.MetricRxRecovered); got != st.Recovered {
+		t.Fatalf("exported recovered %d != stats %d", got, st.Recovered)
 	}
 }
 
@@ -207,7 +221,7 @@ func TestSimChaosByteIdentityThroughPooledPath(t *testing.T) {
 // seed → same fault schedule → reproducible failure": two fresh builds of
 // the whole scenario produce byte-identical stats and fault counters.
 func TestSimChaosSameSeedReproducesRun(t *testing.T) {
-	run := func() (core.ReceiverStats, map[string]uint64, int) {
+	run := func() (core.ReceiverStats, faults.Injected, int) {
 		p := newChaosPath(t, 1,
 			faults.Spec{Seed: 11, BurstLoss: 0.10, MeanBurstLen: 3},
 			recoveryConfig())
@@ -215,7 +229,7 @@ func TestSimChaosSameSeedReproducesRun(t *testing.T) {
 		p.dtn1.Crash()
 		p.dtn1.Restart()
 		p.stream(200, 6)
-		return p.receiver.Stats, p.plan.Counters().Snapshot(), len(p.seen)
+		return p.receiver.Stats, p.plan.Injected(), len(p.seen)
 	}
 	st1, c1, n1 := run()
 	st2, c2, n2 := run()
@@ -225,13 +239,8 @@ func TestSimChaosSameSeedReproducesRun(t *testing.T) {
 	if n1 != n2 {
 		t.Fatalf("distinct deliveries diverged: %d vs %d", n1, n2)
 	}
-	if len(c1) != len(c2) {
-		t.Fatalf("counters diverged: %v vs %v", c1, c2)
-	}
-	for k, v := range c1 {
-		if c2[k] != v {
-			t.Fatalf("counter %s diverged: %d vs %d", k, v, c2[k])
-		}
+	if c1 != c2 {
+		t.Fatalf("injections diverged:\n%+v\n%+v", c1, c2)
 	}
 }
 
@@ -278,8 +287,8 @@ func TestSimChaosMidFlowCrashDegradesGracefully(t *testing.T) {
 	if uint64(len(p.seen))+st.Lost != maxSeq {
 		t.Fatalf("delivered %d + lost %d != maxSeq %d", len(p.seen), st.Lost, maxSeq)
 	}
-	if got := p.plan.Counters().Get(telemetry.CounterPermanentLoss); got != st.Lost {
-		t.Fatalf("permanent-loss counter %d != stats %d", got, st.Lost)
+	if got := p.metric(t, metrics.MetricRxWriteOffs); got != st.Lost {
+		t.Fatalf("exported write-offs %d != stats %d", got, st.Lost)
 	}
 }
 
@@ -307,7 +316,7 @@ func TestSimChaosReorderWindow(t *testing.T) {
 	if st.Lost != 0 || st.Duplicates != 0 {
 		t.Fatalf("stats %+v", st)
 	}
-	if got := p.plan.Counters().Get(faults.CounterReorder); got == 0 {
+	if got := p.plan.Injected().Reorder; got == 0 {
 		t.Fatal("no reorders injected")
 	}
 	if p.dtn1.Node().Ports[1].Stats.FaultDelayed == 0 {
@@ -333,7 +342,7 @@ func TestSimChaosDuplicationIsAbsorbed(t *testing.T) {
 	if st.Duplicates == 0 {
 		t.Fatalf("no duplicates observed: %+v", st)
 	}
-	if got := p.plan.Counters().Get(faults.CounterDuplicate); got != st.Duplicates {
+	if got := p.plan.Injected().Duplicate; got != st.Duplicates {
 		t.Fatalf("injected %d dups, receiver saw %d", got, st.Duplicates)
 	}
 }
@@ -353,7 +362,7 @@ func TestSimChaosCorruptionRecovered(t *testing.T) {
 	if p.receiver.Stats.Lost != 0 {
 		t.Fatalf("permanent losses: %+v", p.receiver.Stats)
 	}
-	if got := p.plan.Counters().Get(faults.CounterCorrupt); got == 0 {
+	if got := p.plan.Injected().Corrupt; got == 0 {
 		t.Fatal("no corruption injected")
 	}
 	if p.dtn1.Node().Ports[1].Stats.FaultCorrupted == 0 {
@@ -380,7 +389,7 @@ func TestSimChaosScriptedFlap(t *testing.T) {
 	if st.Recovered == 0 {
 		t.Fatalf("flap caused no recoveries: %+v", st)
 	}
-	flapDrops := p.plan.Counters().Get(faults.CounterDropFlap)
+	flapDrops := p.plan.Injected().DropFlap
 	if flapDrops == 0 {
 		t.Fatal("no flap drops recorded")
 	}

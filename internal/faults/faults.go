@@ -25,22 +25,28 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
-// Counter names recorded by a Plan into its telemetry.CounterSet. The
-// recovery-side names (telemetry.CounterRecovered and friends) are shared
-// with internal/live and internal/core so one set shows injected faults
-// next to their recoveries.
+// Drop classes a Decision's Kind names. Each counts into its own field of
+// Injected; recoveries are counted by the transport engines' stats.
 const (
 	CounterDropBurst    = "inject.drop.burst"
 	CounterDropScripted = "inject.drop.scripted"
 	CounterDropFlap     = "inject.drop.flap"
-	CounterCorrupt      = "inject.corrupt"
-	CounterDuplicate    = "inject.duplicate"
-	CounterReorder      = "inject.reorder"
 )
+
+// Injected counts the faults a Plan has injected, by class.
+type Injected struct {
+	DropBurst    uint64
+	DropScripted uint64
+	DropFlap     uint64
+	Corrupt      uint64
+	Duplicate    uint64
+	Reorder      uint64
+}
+
+// Drops sums the three drop classes.
+func (c Injected) Drops() uint64 { return c.DropBurst + c.DropScripted + c.DropFlap }
 
 // Flap is a scripted link-down window on the elapsed clock: every packet
 // offered in [Start, Start+Len) is dropped.
@@ -125,7 +131,7 @@ func (s Spec) withDefaults() Spec {
 
 // Decision is the verdict for one offered packet.
 type Decision struct {
-	// Drop discards the packet; Kind names the counter that recorded it.
+	// Drop discards the packet; Kind names its drop class.
 	Drop bool
 	Kind string
 	// Duplicate delivers the packet a second time.
@@ -152,19 +158,17 @@ type Plan struct {
 	packets uint64
 	drops   map[uint64]bool
 	dups    map[uint64]bool
-
-	counters *telemetry.CounterSet
+	inj     Injected
 }
 
 // New builds a Plan from spec.
 func New(spec Spec) *Plan {
 	spec = spec.withDefaults()
 	p := &Plan{
-		spec:     spec,
-		rng:      rand.New(rand.NewSource(spec.Seed)),
-		drops:    make(map[uint64]bool, len(spec.DropPackets)),
-		dups:     make(map[uint64]bool, len(spec.DupPackets)),
-		counters: telemetry.NewCounterSet(),
+		spec:  spec,
+		rng:   rand.New(rand.NewSource(spec.Seed)),
+		drops: make(map[uint64]bool, len(spec.DropPackets)),
+		dups:  make(map[uint64]bool, len(spec.DupPackets)),
 	}
 	for _, idx := range spec.DropPackets {
 		p.drops[idx] = true
@@ -184,9 +188,12 @@ func New(spec Spec) *Plan {
 	return p
 }
 
-// Counters exposes the plan's fault counters; recovery-side components may
-// record into the same set so injections and recoveries read side by side.
-func (p *Plan) Counters() *telemetry.CounterSet { return p.counters }
+// Injected returns the faults the plan has injected so far.
+func (p *Plan) Injected() Injected {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.inj
+}
 
 // Packets returns how many packets the plan has judged so far.
 func (p *Plan) Packets() uint64 {
@@ -225,28 +232,28 @@ func (p *Plan) Decide(elapsed time.Duration) Decision {
 	switch {
 	case p.drops[p.packets]:
 		d.Drop, d.Kind = true, CounterDropScripted
-	case p.windowed(p.packets):
+		p.inj.DropScripted++
+	case p.windowed(p.packets), p.flapped(elapsed):
 		d.Drop, d.Kind = true, CounterDropFlap
-	case p.flapped(elapsed):
-		d.Drop, d.Kind = true, CounterDropFlap
+		p.inj.DropFlap++
 	case p.bad && p.spec.BurstLoss > 0:
 		d.Drop, d.Kind = true, CounterDropBurst
+		p.inj.DropBurst++
 	}
 	if d.Drop {
-		p.counters.Inc(d.Kind)
 		return d
 	}
 	if p.spec.CorruptProb > 0 && cDraw < p.spec.CorruptProb {
 		d.CorruptBit = bit
-		p.counters.Inc(CounterCorrupt)
+		p.inj.Corrupt++
 	}
 	if p.dups[p.packets] || (p.spec.DupProb > 0 && dDraw < p.spec.DupProb) {
 		d.Duplicate = true
-		p.counters.Inc(CounterDuplicate)
+		p.inj.Duplicate++
 	}
 	if p.spec.ReorderProb > 0 && rDraw < p.spec.ReorderProb {
 		d.Delay = p.spec.ReorderDelay
-		p.counters.Inc(CounterReorder)
+		p.inj.Reorder++
 	}
 	return d
 }

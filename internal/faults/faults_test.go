@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // decide runs n decisions at a fixed elapsed clock and returns them.
@@ -88,19 +86,38 @@ func TestGilbertLossFractionAndBurstLength(t *testing.T) {
 }
 
 func TestScriptedDrops(t *testing.T) {
-	p := New(Spec{Seed: 1, DropPackets: []uint64{2, 5}})
-	want := map[int]bool{2: true, 5: true}
-	for i := 1; i <= 6; i++ {
-		d := p.Decide(0)
-		if d.Drop != want[i] {
-			t.Fatalf("packet %d: drop=%v, want %v", i, d.Drop, want[i])
+	// One row per drop class: each drops packets 2 and 5 of 6, labels them
+	// with its Kind and counts them in its own Injected field only.
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		kind string
+		want Injected
+	}{
+		{"packets", Spec{DropPackets: []uint64{2, 5}}, CounterDropScripted, Injected{DropScripted: 2}},
+		{"windows", Spec{DropWindows: []IndexWindow{{From: 2, To: 2}, {From: 5, To: 5}}}, CounterDropFlap, Injected{DropFlap: 2}},
+		{"flaps", Spec{Flaps: []Flap{{Start: 2, Len: 1}, {Start: 5, Len: 1}}}, CounterDropFlap, Injected{DropFlap: 2}},
+		{"burst", Spec{BurstLoss: 1, DropPackets: []uint64{1, 3, 4, 6}}, CounterDropBurst, Injected{DropBurst: 2, DropScripted: 4}},
+	} {
+		tc.spec.Seed = 1
+		p := New(tc.spec)
+		want := map[int]bool{2: true, 5: true}
+		var drops uint64
+		for i := 1; i <= 6; i++ {
+			d := p.Decide(time.Duration(i))
+			if d.Drop {
+				drops++
+			}
+			if want[i] && (!d.Drop || d.Kind != tc.kind) {
+				t.Fatalf("%s packet %d: %+v, want drop of kind %q", tc.name, i, d, tc.kind)
+			}
+			if !want[i] && d.Drop && d.Kind == tc.kind {
+				t.Fatalf("%s packet %d: unexpected %q drop", tc.name, i, d.Kind)
+			}
 		}
-		if d.Drop && d.Kind != CounterDropScripted {
-			t.Fatalf("packet %d kind %q", i, d.Kind)
+		if got := p.Injected(); got != tc.want || got.Drops() != drops {
+			t.Fatalf("%s: injected %+v (drops %d), want %+v (drops %d)", tc.name, got, got.Drops(), tc.want, drops)
 		}
-	}
-	if got := p.Counters().Get(CounterDropScripted); got != 2 {
-		t.Fatalf("scripted counter %d", got)
 	}
 }
 
@@ -153,8 +170,8 @@ func TestZeroSpecIsTransparent(t *testing.T) {
 			t.Fatalf("packet %d faulted: %+v", i+1, d)
 		}
 	}
-	if s := p.Counters().Snapshot(); len(s) != 0 {
-		t.Fatalf("counters %v", s)
+	if got := p.Injected(); got != (Injected{}) {
+		t.Fatalf("injected %+v", got)
 	}
 	if p.Packets() != 1000 {
 		t.Fatalf("packets %d", p.Packets())
@@ -185,13 +202,9 @@ func TestProbabilisticFaultRates(t *testing.T) {
 	check("corrupt", corrupt, 0.05)
 	check("dup", dup, 0.10)
 	check("reorder", reorder, 0.20)
-	c := p.Counters()
-	if c.Get(CounterCorrupt) != uint64(corrupt) || c.Get(CounterDuplicate) != uint64(dup) ||
-		c.Get(CounterReorder) != uint64(reorder) {
-		t.Fatalf("counters disagree with observations: %s", c)
-	}
-	if got := c.Total("inject."); got == 0 {
-		t.Fatal("prefix total empty")
+	want := Injected{Corrupt: uint64(corrupt), Duplicate: uint64(dup), Reorder: uint64(reorder)}
+	if got := p.Injected(); got != want {
+		t.Fatalf("injected %+v disagrees with observations %+v", got, want)
 	}
 }
 
@@ -229,18 +242,5 @@ func TestTotalLossIsAbsolute(t *testing.T) {
 		if !p.Decide(0).Drop {
 			t.Fatalf("packet %d survived BurstLoss=1", i+1)
 		}
-	}
-}
-
-func TestSharedCounterSetNames(t *testing.T) {
-	// Recovery-side components record into the plan's set under the
-	// telemetry-owned names; both families must coexist in one snapshot.
-	p := New(Spec{Seed: 1, DropPackets: []uint64{1}})
-	p.Decide(0)
-	p.Counters().Inc(telemetry.CounterRecovered)
-	p.Counters().Inc(telemetry.CounterPermanentLoss)
-	s := p.Counters().Snapshot()
-	if s[CounterDropScripted] != 1 || s[telemetry.CounterRecovered] != 1 || s[telemetry.CounterPermanentLoss] != 1 {
-		t.Fatalf("snapshot %v", s)
 	}
 }

@@ -16,7 +16,6 @@ func SimFault(p *Plan) netsim.FaultFunc {
 		d := p.Decide(time.Duration(now))
 		return netsim.FaultDecision{
 			Drop:       d.Drop,
-			Kind:       d.Kind,
 			Duplicate:  d.Duplicate,
 			CorruptBit: d.CorruptBit,
 			ExtraDelay: d.Delay,

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/telemetry"
+	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -24,6 +24,7 @@ type chaosRig struct {
 	relay *Relay
 	recv  *Receiver
 	plan  *faults.Plan
+	reg   *metrics.Registry // the receiver's and sender's exports
 
 	mu       sync.Mutex
 	payloads map[string]int // delivered tracked payloads -> count
@@ -32,9 +33,8 @@ type chaosRig struct {
 
 func newChaosRig(t *testing.T, spec faults.Spec, rcfg ReceiverConfig, relayOpts ...func(*RelayConfig)) *chaosRig {
 	t.Helper()
-	rig := &chaosRig{t: t, plan: faults.New(spec), payloads: make(map[string]int)}
+	rig := &chaosRig{t: t, plan: faults.New(spec), reg: metrics.NewRegistry(), payloads: make(map[string]int)}
 	rcfg.Listen = "127.0.0.1:0"
-	rcfg.Counters = rig.plan.Counters()
 	rcfg.OnMessage = func(m Message) {
 		if !strings.HasPrefix(string(m.Payload), "msg-") {
 			return // flush traffic, not a tracked payload
@@ -73,7 +73,6 @@ func newChaosRig(t *testing.T, spec faults.Spec, rcfg ReceiverConfig, relayOpts 
 		SendTimeout:   100 * time.Millisecond,
 		Redials:       5,
 		RedialBackoff: time.Millisecond,
-		Counters:      rig.plan.Counters(),
 	})
 	if err != nil {
 		relay.Close()
@@ -81,6 +80,8 @@ func newChaosRig(t *testing.T, spec faults.Spec, rcfg ReceiverConfig, relayOpts 
 		t.Fatal(err)
 	}
 	rig.snd, rig.relay, rig.recv = snd, relay, recv
+	recv.RegisterMetrics(rig.reg)
+	snd.RegisterMetrics(rig.reg)
 	t.Cleanup(func() {
 		snd.Close()
 		relay.Close()
@@ -124,9 +125,21 @@ func (rig *chaosRig) driveUntilDelivered(want int, timeout time.Duration) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	rig.t.Fatalf("timed out: delivered %d/%d tracked payloads, %d gaps outstanding\nrecv %+v\nsender %+v\nrelay %+v\nplan %s",
+	rig.t.Fatalf("timed out: delivered %d/%d tracked payloads, %d gaps outstanding\nrecv %+v\nsender %+v\nrelay %+v\nplan %+v",
 		rig.deliveredTracked(), want, rig.recv.OutstandingGaps(),
-		rig.recv.Stats(), rig.snd.Stats(), rig.relay.Stats(), rig.plan.Counters())
+		rig.recv.Stats(), rig.snd.Stats(), rig.relay.Stats(), rig.plan.Injected())
+}
+
+// metric reads one value the rig's endpoints export through RegisterMetrics.
+func (rig *chaosRig) metric(name string) uint64 {
+	rig.t.Helper()
+	for _, s := range rig.reg.Snapshot() {
+		if s.Name == name {
+			return uint64(s.Value)
+		}
+	}
+	rig.t.Fatalf("metric %s not exported", name)
+	return 0
 }
 
 // settle drives flush traffic until every packet the relay has sequenced
@@ -202,12 +215,11 @@ func TestLiveChaosRelayRestartUnderBurstLoss(t *testing.T) {
 	if rig.relay.Stats().Crashes != 1 {
 		t.Fatalf("relay stats %+v", rig.relay.Stats())
 	}
-	c := rig.plan.Counters()
-	if c.Get(faults.CounterDropBurst) == 0 {
-		t.Fatalf("no burst drops recorded: %s", c)
+	if inj := rig.plan.Injected(); inj.DropBurst == 0 {
+		t.Fatalf("no burst drops recorded: %+v", inj)
 	}
-	if c.Get(telemetry.CounterRecovered) != st.Recovered {
-		t.Fatalf("counter %d != stats %d", c.Get(telemetry.CounterRecovered), st.Recovered)
+	if got := rig.metric(metrics.MetricRxRecovered); got != st.Recovered {
+		t.Fatalf("exported recovered %d != stats %d", got, st.Recovered)
 	}
 }
 
@@ -329,8 +341,8 @@ func TestLiveChaosCrashDuringRecoveryDegradesGracefully(t *testing.T) {
 	if nGaps != st.PermanentLoss {
 		t.Fatalf("OnGap reported %d holes, stats say %d", nGaps, st.PermanentLoss)
 	}
-	if got := rig.plan.Counters().Get(telemetry.CounterPermanentLoss); got != st.PermanentLoss {
-		t.Fatalf("permanent-loss counter %d != stats %d", got, st.PermanentLoss)
+	if got := rig.metric(metrics.MetricRxWriteOffs); got != st.PermanentLoss {
+		t.Fatalf("exported write-offs %d != stats %d", got, st.PermanentLoss)
 	}
 	if rig.relay.Stats().Misses == 0 {
 		t.Fatalf("cold buffer never missed a NAK: %+v", rig.relay.Stats())
@@ -367,9 +379,8 @@ func TestLiveChaosReorderAndDuplication(t *testing.T) {
 	if st.Duplicates == 0 {
 		t.Fatalf("no duplicates reached the receiver: %+v", st)
 	}
-	c := rig.plan.Counters()
-	if c.Get(faults.CounterReorder) == 0 || c.Get(faults.CounterDuplicate) == 0 {
-		t.Fatalf("injection counters empty: %s", c)
+	if inj := rig.plan.Injected(); inj.Reorder == 0 || inj.Duplicate == 0 {
+		t.Fatalf("injection counters empty: %+v", inj)
 	}
 }
 
@@ -403,9 +414,8 @@ func TestLiveSenderReconnectsAfterRelayDeath(t *testing.T) {
 	if st.SendErrors > 0 && st.Reconnects == 0 {
 		t.Fatalf("send errors without reconnects: %+v", st)
 	}
-	if st.SendErrors > 0 && rig.plan.Counters().Get(telemetry.CounterReconnect) != st.Reconnects {
-		t.Fatalf("reconnect counter %d != stats %d",
-			rig.plan.Counters().Get(telemetry.CounterReconnect), st.Reconnects)
+	if got := rig.metric(metrics.MetricTxReconnects); st.SendErrors > 0 && got != st.Reconnects {
+		t.Fatalf("exported reconnects %d != stats %d", got, st.Reconnects)
 	}
 	t.Logf("sender stats after relay death: %+v", st)
 }

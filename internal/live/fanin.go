@@ -15,51 +15,37 @@ import (
 	"repro/internal/wire"
 )
 
-// fanInExpBase is the first flow's experiment number; flow i uses
-// fanInExpBase+i.
-const fanInExpBase = 9000
+// Fixed shape of a fan-in run; the relay shard count is GOMAXPROCS.
+const (
+	// fanInExpBase is the first flow's experiment number; flow i uses
+	// fanInExpBase+i.
+	fanInExpBase = 9000
+	// fanInReceivers is how many downstream receivers the flows are
+	// spread across round-robin.
+	fanInReceivers = 2
+	// fanInPayloadLen is the message body size.
+	fanInPayloadLen = 256
+	// fanInBatchSize is each sender's flush-ring depth, the kernel-batch
+	// sweet spot.
+	fanInBatchSize = 32
+	// fanInDrainWait bounds the post-send drain wait.
+	fanInDrainWait = 5 * time.Second
+)
 
 // FanInConfig parameterises one fan-in run.
 type FanInConfig struct {
 	// Flows is the concurrent sender count (default 8).
 	Flows int
-	// Receivers is how many downstream receivers the flows are spread
-	// across round-robin (default 2).
-	Receivers int
 	// Messages is the per-flow message count (default 10000).
 	Messages int
-	// PayloadLen is the message body size (default 256).
-	PayloadLen int
-	// BatchSize is each sender's flush-ring depth (default 32, the
-	// kernel-batch sweet spot).
-	BatchSize int
-	// Shards is the relay shard count (default GOMAXPROCS).
-	Shards int
-	// DrainWait bounds the post-send drain wait (default 5s).
-	DrainWait time.Duration
 }
 
 func (c FanInConfig) withDefaults() FanInConfig {
 	if c.Flows <= 0 {
 		c.Flows = 8
 	}
-	if c.Receivers <= 0 {
-		c.Receivers = 2
-	}
 	if c.Messages <= 0 {
 		c.Messages = 10000
-	}
-	if c.PayloadLen <= 0 {
-		c.PayloadLen = 256
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 32
-	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.DrainWait <= 0 {
-		c.DrainWait = 5 * time.Second
 	}
 	return c
 }
@@ -109,10 +95,11 @@ type FanInResult struct {
 
 // RunFanIn executes one fan-in run: cfg.Flows senders blast their
 // messages concurrently through a sharded relay whose resolver spreads
-// the flows across cfg.Receivers receivers; the run then drains until the
-// relay's upgrade counter goes quiet.
+// the flows across fanInReceivers receivers; the run then drains until
+// the relay's upgrade counter goes quiet.
 func RunFanIn(cfg FanInConfig) (*FanInResult, error) {
 	cfg = cfg.withDefaults()
+	shards := runtime.GOMAXPROCS(0)
 
 	perFlowDelivered := make([]atomic.Uint64, cfg.Flows)
 	count := func(m Message) {
@@ -121,8 +108,8 @@ func RunFanIn(cfg FanInConfig) (*FanInResult, error) {
 		}
 	}
 
-	recvs := make([]*Receiver, cfg.Receivers)
-	recvAddrs := make([]string, cfg.Receivers)
+	recvs := make([]*Receiver, fanInReceivers)
+	recvAddrs := make([]string, fanInReceivers)
 	for i := range recvs {
 		r, err := NewReceiver(ReceiverConfig{
 			Listen: "127.0.0.1:0",
@@ -147,10 +134,10 @@ func RunFanIn(cfg FanInConfig) (*FanInResult, error) {
 			if i < 0 || i >= cfg.Flows {
 				return ""
 			}
-			return recvAddrs[i%cfg.Receivers]
+			return recvAddrs[i%fanInReceivers]
 		},
 		MaxAge: time.Hour,
-		Shards: cfg.Shards,
+		Shards: shards,
 	})
 	if err != nil {
 		return nil, err
@@ -162,7 +149,7 @@ func RunFanIn(cfg FanInConfig) (*FanInResult, error) {
 		s, err := NewSenderWithConfig(SenderConfig{
 			Dst:        relay.Addr(),
 			Experiment: uint32(fanInExpBase + i),
-			BatchSize:  cfg.BatchSize,
+			BatchSize:  fanInBatchSize,
 		})
 		if err != nil {
 			return nil, err
@@ -171,7 +158,7 @@ func RunFanIn(cfg FanInConfig) (*FanInResult, error) {
 		senders[i] = s
 	}
 
-	payload := make([]byte, cfg.PayloadLen)
+	payload := make([]byte, fanInPayloadLen)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
@@ -184,7 +171,7 @@ func RunFanIn(cfg FanInConfig) (*FanInResult, error) {
 	// concurrently in flight at the relay and spreads overload drops
 	// evenly. The offered rate is measured the same way as
 	// BenchmarkLiveLoopbackBatched's msgs/s: send cost only.
-	chunk := 8 * cfg.BatchSize
+	chunk := 8 * fanInBatchSize
 	start := time.Now()
 	for base := 0; base < cfg.Messages; base += chunk {
 		n := chunk
@@ -210,7 +197,7 @@ func RunFanIn(cfg FanInConfig) (*FanInResult, error) {
 	// senders finish; the span ends at the last observed upgrade.
 	lastUpgraded := relay.Stats().Upgraded
 	lastChange := time.Now()
-	deadline := lastChange.Add(cfg.DrainWait)
+	deadline := lastChange.Add(fanInDrainWait)
 	for time.Now().Before(deadline) {
 		if u := relay.Stats().Upgraded; u != lastUpgraded {
 			lastUpgraded, lastChange = u, time.Now()
@@ -232,8 +219,8 @@ func RunFanIn(cfg FanInConfig) (*FanInResult, error) {
 
 	res := &FanInResult{
 		Flows:         cfg.Flows,
-		Receivers:     cfg.Receivers,
-		Shards:        cfg.Shards,
+		Receivers:     fanInReceivers,
+		Shards:        shards,
 		PerFlow:       make([]FanInFlow, cfg.Flows),
 		Upgraded:      lastUpgraded,
 		SendElapsedNs: sendElapsed.Nanoseconds(),

@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/dmtp"
 	"repro/internal/metrics"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -85,19 +84,14 @@ type SenderConfig struct {
 	// small ring of per-connection buffers and returns immediately; the
 	// ring is flushed — one lock acquisition and one write-deadline check
 	// for the whole batch — when BatchSize packets are pending or
-	// FlushInterval elapses. Batched sends are fire-and-forget: write
+	// flushInterval elapses. Batched sends are fire-and-forget: write
 	// errors are counted in Stats and the socket is redialled on the next
 	// flush, but individual messages in a failed flush are not resent
 	// (loss recovery is the protocol's job, via NAKs). Zero or 1 keeps
 	// the synchronous per-send path with its redial loop.
 	BatchSize int
-	// FlushInterval bounds how long a batched packet may wait in the ring
-	// before being flushed; zero means 500 µs. Ignored unless BatchSize > 1.
-	FlushInterval time.Duration
 	// Wrap, when non-nil, decorates the socket (fault middleware).
 	Wrap func(UDPConn) UDPConn
-	// Counters, when non-nil, records reconnects for observability.
-	Counters *telemetry.CounterSet
 	// Recorder, when non-nil, receives reconnect events. Nil disables
 	// flight recording.
 	Recorder *metrics.FlightRecorder
@@ -118,11 +112,12 @@ func (c SenderConfig) withDefaults() SenderConfig {
 	if c.RedialBackoff == 0 {
 		c.RedialBackoff = 5 * time.Millisecond
 	}
-	if c.FlushInterval == 0 {
-		c.FlushInterval = 500 * time.Microsecond
-	}
 	return c
 }
+
+// flushInterval bounds how long a batched packet may wait in the ring
+// before being flushed.
+const flushInterval = 500 * time.Microsecond
 
 // SenderStats are cumulative sender counters.
 type SenderStats struct {
@@ -316,7 +311,6 @@ func (s *Sender) Send(msg []byte, slice uint8) error {
 				continue
 			}
 			s.stats.Reconnects++
-			s.cfg.Counters.Inc(telemetry.CounterReconnect)
 			s.cfg.Recorder.Record(metrics.EvReconnect, 0, 0, uint64(attempt))
 		}
 		// Encode under the lock into the connection's reusable buffer
@@ -371,7 +365,7 @@ func (s *Sender) sendBatched(msg []byte, slice uint8) error {
 		// ring flushes inline above, and the timer fires at most once per
 		// arming, so an idle sender never wakes (a stale fire finds an
 		// empty ring and is a no-op).
-		s.flushT.Reset(s.cfg.FlushInterval)
+		s.flushT.Reset(flushInterval)
 	}
 	return nil
 }
@@ -394,7 +388,6 @@ func (s *Sender) flushLocked() error {
 			return err
 		}
 		s.stats.Reconnects++
-		s.cfg.Counters.Inc(telemetry.CounterReconnect)
 		s.cfg.Recorder.Record(metrics.EvReconnect, 0, 0, 0)
 	}
 	s.armDeadlineLocked()

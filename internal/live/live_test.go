@@ -92,6 +92,45 @@ func TestLiveLosslessDelivery(t *testing.T) {
 	}
 }
 
+// TestLiveLatencySummaryConcurrentWithTraffic reads the latency summary, as
+// dmtp-recv's status line does, while the read loop records deliveries into
+// the same histogram. Run it under -race: an unlocked read is a data race,
+// and without -race it can die on concurrent map iteration and write.
+func TestLiveLatencySummaryConcurrentWithTraffic(t *testing.T) {
+	snd, _, recv, _ := pipeline(t, 0, ReceiverConfig{})
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = recv.LatencySummary()
+			}
+		}
+	}()
+	// Registered after pipeline's cleanup, so it runs first: the reader
+	// stops before the receiver closes.
+	t.Cleanup(func() {
+		close(stop)
+		<-done
+	})
+	const n = 2000
+	for i := 0; i < n; i++ {
+		if err := snd.Send([]byte(fmt.Sprintf("msg-%d", i)), 2); err != nil {
+			t.Fatal(err)
+		}
+		if i%25 == 24 {
+			time.Sleep(time.Millisecond) // mode 0 is unreliable; don't outrun loopback
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool { return recv.Stats().Delivered >= n }, "delivery")
+	if got := recv.LatencySummary(); got == "n=0" {
+		t.Fatalf("no latency observed after %d deliveries", n)
+	}
+}
+
 func TestLiveRecoveryFromInjectedLoss(t *testing.T) {
 	snd, relay, recv, delivered := pipeline(t, 10, ReceiverConfig{
 		NAKDelay: time.Millisecond,

@@ -50,9 +50,6 @@ type ReceiverConfig struct {
 	OnNAK func(exp wire.ExperimentID, ranges []wire.SeqRange)
 	// Wrap, when non-nil, decorates the socket (fault middleware).
 	Wrap func(UDPConn) UDPConn
-	// Counters, when non-nil, is the shared fault/recovery counter set
-	// (normally a faults.Plan's); a private set is created otherwise.
-	Counters *telemetry.CounterSet
 	// Recorder, when non-nil, receives the engine's flight-recorder
 	// events (gap-detected, nak-sent, recovered, write-off). Nil disables
 	// flight recording.
@@ -104,11 +101,8 @@ type Receiver struct {
 	pendNAKs  []nakEvent
 	pendSends []ctrlSend
 
-	// LatencyHist records origin→delivery latency (mutex-guarded).
-	LatencyHist *telemetry.Histogram
-	// Counters records recoveries and permanent losses alongside any
-	// injected faults sharing the set.
-	Counters *telemetry.CounterSet
+	// latencyHist records origin→delivery latency; guarded by mu.
+	latencyHist *telemetry.Histogram
 
 	// txErrs counts control packets dropped by failed fire-and-forget
 	// writes in dispatch, which runs outside r.mu — hence atomics.
@@ -157,9 +151,6 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if cfg.MaxNAKs == 0 {
 		cfg.MaxNAKs = 5
 	}
-	if cfg.Counters == nil {
-		cfg.Counters = telemetry.NewCounterSet()
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = dmtp.WallClock{}
 	}
@@ -189,8 +180,7 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		conn:        c,
 		self:        self,
 		clock:       cfg.Clock,
-		LatencyHist: telemetry.NewHistogram(),
-		Counters:    cfg.Counters,
+		latencyHist: telemetry.NewHistogram(),
 	}
 	r.eng = dmtp.NewReceiverEngine(rxClock{r}, rxDatapath{r}, dmtp.ReceiverConfig{
 		NAKDelay:    cfg.NAKDelay,
@@ -199,7 +189,6 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		MaxNAKs:     cfg.MaxNAKs,
 		Seed:        cfg.Seed,
 		AckInterval: cfg.AckInterval,
-		Counters:    cfg.Counters,
 		OnGap: func(exp wire.ExperimentID, seq uint64) {
 			r.pendGaps = append(r.pendGaps, gapEvent{exp, seq})
 		},
@@ -211,7 +200,7 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		Deliver: func(m Message) {
 			r.pendMsgs = append(r.pendMsgs, m)
 		},
-		LatencyHist: r.LatencyHist,
+		LatencyHist: r.latencyHist,
 		Recorder:    cfg.Recorder,
 		Tracer:      cfg.Tracer,
 	})
@@ -295,11 +284,19 @@ func (r *Receiver) RegisterMetrics(reg *metrics.Registry) {
 	dmtp.RegisterReceiverGauges(reg, r.OutstandingGaps, func() (int64, int64) {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		return r.LatencyHist.Quantile(0.5), r.LatencyHist.Quantile(0.99)
+		return r.latencyHist.Quantile(0.5), r.latencyHist.Quantile(0.99)
 	})
 	r.bstats.install(reg)
 	r.txErr.Store(reg.Counter(metrics.MetricLiveTxErrors))
 	dmtp.RegisterPoolMetrics(reg)
+}
+
+// LatencySummary renders the origin→delivery latency histogram. It takes
+// the receiver lock, so it is safe to call while traffic is flowing.
+func (r *Receiver) LatencySummary() string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.latencyHist.String()
 }
 
 // Close stops the receiver.

@@ -168,8 +168,8 @@ type frSlot struct {
 //
 // Writers claim distinct slots with one atomic add; a slot is only ever
 // contended if the ring wraps fully while a write is still in flight,
-// in which case the slot's seqlock makes the loser's event torn-and-
-// discarded rather than corrupt. A nil *FlightRecorder is a valid no-op
+// in which case the writer that finds the slot's seqlock held discards
+// its event, so no reader ever sees a torn one. A nil *FlightRecorder is a valid no-op
 // recorder, so components take one unconditionally.
 type FlightRecorder struct {
 	mask  uint64
@@ -218,7 +218,14 @@ func (r *FlightRecorder) RecordAt(at int64, kind EventKind, exp, seq, aux uint64
 	}
 	i := r.pos.Add(1) - 1
 	s := &r.slots[i&r.mask]
-	s.ver.Add(1) // odd: write in progress
+	// Claim the slot by moving its version from even to odd. A plain add
+	// would let a second writer that lapped the ring flip it back to even
+	// mid-write, and readers would accept the torn mix; instead the
+	// writer that finds the slot busy drops its event.
+	v := s.ver.Load()
+	if v%2 != 0 || !s.ver.CompareAndSwap(v, v+1) {
+		return
+	}
 	s.at.Store(at)
 	s.kind.Store(uint32(kind))
 	s.exp.Store(exp)

@@ -366,10 +366,8 @@ func pow1m(p, n float64) float64 {
 // FaultDecision is a fault-injection verdict for one frame, produced by a
 // FaultFunc (normally an adapter over a faults.Plan).
 type FaultDecision struct {
-	// Drop discards the frame; Kind is a label for the injecting layer's
-	// own accounting (netsim only counts DropsFault).
+	// Drop discards the frame; netsim counts it in DropsFault.
 	Drop bool
-	Kind string
 	// Duplicate delivers the frame twice.
 	Duplicate bool
 	// CorruptBit, when ≥ 0, flips that bit (mod frame length) in a copy

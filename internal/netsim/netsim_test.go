@@ -291,7 +291,7 @@ func TestLinkFaultHook(t *testing.T) {
 		d := FaultDecision{CorruptBit: -1}
 		switch idx {
 		case 2:
-			d.Drop, d.Kind = true, "test.drop"
+			d.Drop = true
 		case 3:
 			d.Duplicate = true
 		case 4:

@@ -1,8 +1,8 @@
 // Package telemetry provides the measurement instruments the experiment
-// harness uses: log-bucketed latency histograms with quantile estimation,
-// byte/rate accounting, and per-flow completion records. All instruments
-// are plain single-threaded values; simulated components update them from
-// event-loop callbacks, and the live path guards them with its own locks.
+// harness uses: log-bucketed latency histograms with quantile estimation
+// and byte accounting. All instruments are plain single-threaded values;
+// simulated components update them from event-loop callbacks, and the live
+// path guards them with its own locks.
 package telemetry
 
 import (
@@ -137,7 +137,7 @@ func (h *Histogram) String() string {
 		time.Duration(h.Mean()))
 }
 
-// Meter accumulates a byte count over an interval and reports throughput.
+// Meter accumulates byte and frame counts.
 type Meter struct {
 	Bytes  uint64
 	Frames uint64
@@ -147,43 +147,6 @@ type Meter struct {
 func (m *Meter) Add(n int) {
 	m.Bytes += uint64(n)
 	m.Frames++
-}
-
-// RateBps returns the average throughput in bits per second over elapsed.
-func (m *Meter) RateBps(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.Bytes*8) / elapsed.Seconds()
-}
-
-// RateGbps returns the average throughput in gigabits per second.
-func (m *Meter) RateGbps(elapsed time.Duration) float64 {
-	return m.RateBps(elapsed) / 1e9
-}
-
-// FlowRecord captures the life of one transfer for flow-completion-time
-// reporting.
-type FlowRecord struct {
-	Name      string
-	Bytes     uint64
-	Messages  uint64
-	Start     time.Duration // virtual time
-	End       time.Duration
-	Losses    uint64
-	Recovered uint64
-}
-
-// FCT returns the flow completion time.
-func (f *FlowRecord) FCT() time.Duration { return f.End - f.Start }
-
-// Goodput returns delivered application throughput in bits per second.
-func (f *FlowRecord) Goodput() float64 {
-	d := f.FCT()
-	if d <= 0 {
-		return 0
-	}
-	return float64(f.Bytes*8) / d.Seconds()
 }
 
 // Table is a minimal fixed-width text table writer used by cmd/benchtab and

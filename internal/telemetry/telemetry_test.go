@@ -112,34 +112,6 @@ func TestHistogramString(t *testing.T) {
 	}
 }
 
-func TestMeterRates(t *testing.T) {
-	var m Meter
-	m.Add(125_000_000) // 1 Gbit
-	if r := m.RateGbps(time.Second); math.Abs(r-1) > 1e-9 {
-		t.Fatalf("rate %v Gbps", r)
-	}
-	if m.RateBps(0) != 0 {
-		t.Fatal("zero elapsed must not divide by zero")
-	}
-	if m.Frames != 1 {
-		t.Fatalf("frames %d", m.Frames)
-	}
-}
-
-func TestFlowRecord(t *testing.T) {
-	f := FlowRecord{Bytes: 1e9 / 8, Start: time.Second, End: 2 * time.Second}
-	if f.FCT() != time.Second {
-		t.Fatalf("fct %v", f.FCT())
-	}
-	if math.Abs(f.Goodput()-1e9) > 1 {
-		t.Fatalf("goodput %v", f.Goodput())
-	}
-	zero := FlowRecord{}
-	if zero.Goodput() != 0 {
-		t.Fatal("zero-duration goodput")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("experiment", "rate")
 	tb.Row("DUNE", 120.0)
