@@ -11,7 +11,7 @@ import (
 // one sync policy. Periodic trims let segment recycling bound disk use,
 // so long -benchtime runs don't fill the filesystem; the closing Flush
 // puts the writer's backlog inside the measured window, making ns/op an
-// honest end-to-end figure rather than a channel-send figure.
+// honest end-to-end figure rather than a staging-copy figure.
 func benchAppend(b *testing.B, sync string, payloadLen int) {
 	j, _, err := Open(Options{Dir: b.TempDir(), Shard: 0, Sync: sync})
 	if err != nil {

@@ -5,11 +5,14 @@
 //
 // One Journal serves one buffer shard. The hot path (Append / Tombstone /
 // TrimTo, called under the shard lock) frames a CRC-32C-protected record
-// into a pooled buffer and hands it to a writer goroutine — no file I/O,
-// no fsync, and no allocation on the ingest path. The writer drains
-// records in batches, writes them with one coalesced file write, and
-// group-commits with a single fsync per drained batch (policy "batch";
-// "none" and "always" are available). Segments roll at a size bound and
+// straight into the journal's staging buffer and wakes a writer
+// goroutine only when that buffer turns non-empty — no file I/O, no
+// fsync, no channel send per record and no allocation on the ingest
+// path. The writer swaps the staging buffer for a spare, writes the
+// whole swapped buffer with one file write, and group-commits with a
+// single fsync per swap (policy "batch"; "none" and "always" are
+// available). A full staging buffer blocks the caller until the next
+// swap, so records are never dropped. Segments roll at a size bound and
 // are deleted ("recycled") once the cumulative-ACK trim floor passes
 // every entry they hold, after counter floors are re-journalled so
 // sequence numbering never regresses across a recycle.
@@ -38,8 +41,8 @@ import (
 
 // Sync policies: when the writer goroutine calls fsync.
 const (
-	// SyncBatch group-commits: one fsync per drained batch of records —
-	// the default, amortising fsync cost across the batch.
+	// SyncBatch group-commits: one fsync per writer swap of the staging
+	// buffer — the default, amortising fsync cost across the batch.
 	SyncBatch = "batch"
 	// SyncNone never fsyncs (the OS flushes on its own schedule).
 	// Survives process crashes — every record is written before a
@@ -54,18 +57,11 @@ const (
 // Options.SegmentBytes is zero.
 const DefaultSegmentBytes = 4 << 20
 
-// queueDepth bounds the hot-path → writer channel; a full queue blocks
-// Append (back-pressure) rather than dropping records.
-const queueDepth = 8192
-
-// batchMax bounds how many staged records one writer drain coalesces
-// into a single file write (and, under SyncBatch, one fsync).
-const batchMax = 256
-
-// wbufCap is the writer's coalescing buffer capacity, allocated once;
-// batches larger than it are written in wbufCap-sized chunks so the
-// steady state never grows the buffer.
-const wbufCap = 256 << 10
+// stageCap is the capacity of each of a journal's two staging buffers,
+// allocated once at Open (448 KiB per shard in all). A full buffer blocks
+// the hot path until the writer swaps it out (back-pressure) rather than
+// dropping records.
+const stageCap = 224 << 10
 
 // ReplayDropBias deliberately breaks replay for oracle self-tests: when
 // positive, every ReplayDropBias'th surviving append record is silently
@@ -142,12 +138,19 @@ type Journal struct {
 	// serialised caller context.
 	lastTrim map[wire.ExperimentID]uint64
 
-	in       chan []byte
-	flushMu  sync.Mutex
-	flushReq chan struct{}
-	flushAck chan struct{}
-	done     chan struct{}
-	wg       sync.WaitGroup
+	// mu guards the fields below it. The hot path frames records into
+	// stage and waits on moved for room; the writer swaps stage for its
+	// spare, writes it, and broadcasts moved after each step.
+	mu      sync.Mutex
+	moved   sync.Cond
+	stage   []byte
+	staged  uint64 // records ever staged
+	written uint64 // records ever written to a segment file
+	closed  bool
+	// wake holds a token whenever stage holds records the writer has not
+	// swapped out: the hot path sends one as stage turns non-empty.
+	wake chan struct{}
+	wg   sync.WaitGroup
 
 	// closeOnce guards double-Close; closeErr is the writer's shutdown
 	// outcome.
@@ -155,6 +158,8 @@ type Journal struct {
 	closeErr  error
 
 	// Writer-goroutine state (plus initial setup in Open).
+	spare     []byte
+	floorRec  [RecOverhead + 8]byte
 	f         *os.File
 	segIndex  uint64
 	segBytes  int
@@ -162,8 +167,6 @@ type Journal struct {
 	sealed    []sealedSeg
 	trimFloor map[wire.ExperimentID]uint64
 	seqFloor  map[wire.ExperimentID]uint64
-	batch     [][]byte
-	wbuf      []byte
 }
 
 // Open recovers the shard's journal from disk and starts its writer.
@@ -190,20 +193,16 @@ func Open(opts Options) (*Journal, *Recovered, error) {
 	}
 
 	j := &Journal{
-		opts:     opts,
-		lastTrim: make(map[wire.ExperimentID]uint64),
-		in:       make(chan []byte, queueDepth),
-		flushReq: make(chan struct{}),
-		// Buffered so the writer's ack never blocks even if the flusher
-		// abandoned the wait because the journal closed underneath it.
-		flushAck:  make(chan struct{}, 1),
-		done:      make(chan struct{}),
+		opts:      opts,
+		lastTrim:  make(map[wire.ExperimentID]uint64),
+		stage:     make([]byte, 0, stageCap),
+		spare:     make([]byte, 0, stageCap),
+		wake:      make(chan struct{}, 1),
 		segExpMax: make(map[wire.ExperimentID]uint64),
 		trimFloor: make(map[wire.ExperimentID]uint64),
 		seqFloor:  make(map[wire.ExperimentID]uint64),
-		batch:     make([][]byte, 0, batchMax),
-		wbuf:      make([]byte, 0, wbufCap),
 	}
+	j.moved.L = &j.mu
 
 	segs, err := j.listSegments()
 	if err != nil {
@@ -252,25 +251,28 @@ func (j *Journal) Stats() Stats {
 	}
 }
 
-// Pending returns the journal's flush lag: records enqueued to the
-// writer goroutine but not yet drained into the segment file. Exposed as
-// the dmtp.journal.pending gauge — sustained growth means the writer
-// (typically its fsyncs) cannot keep up with the stash rate.
-func (j *Journal) Pending() int { return len(j.in) }
+// Pending returns the journal's flush lag: records staged but not yet
+// written into the segment file. Exposed as the dmtp.journal.pending
+// gauge — sustained growth means the writer (typically its fsyncs)
+// cannot keep up with the stash rate.
+func (j *Journal) Pending() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return int(j.staged - j.written)
+}
 
-// Append journals one stash insert. It frames the record into a pooled
-// buffer and enqueues it for the writer; the packet itself is copied
-// into the frame, so the stash keeps exclusive ownership of pkt.
+// Append journals one stash insert. The packet is copied into the
+// staging buffer's frame, so the stash keeps exclusive ownership of pkt.
 func (j *Journal) Append(exp wire.ExperimentID, seq uint64, pkt []byte) {
 	j.appends.Add(1)
 	j.appendBytes.Add(uint64(len(pkt)))
-	j.in <- frameRecord(RecAppend, exp, seq, pkt)
+	j.stageRecord(RecAppend, exp, seq, pkt)
 }
 
 // Tombstone journals one capacity eviction.
 func (j *Journal) Tombstone(exp wire.ExperimentID, seq uint64) {
 	j.tombstones.Add(1)
-	j.in <- frameRecord(RecTombstone, exp, seq, nil)
+	j.stageRecord(RecTombstone, exp, seq, nil)
 }
 
 // TrimTo journals one cumulative-ACK trim. Trims that do not advance the
@@ -282,25 +284,43 @@ func (j *Journal) TrimTo(exp wire.ExperimentID, cum uint64) {
 	}
 	j.lastTrim[exp] = cum
 	j.tombstones.Add(1)
-	j.in <- frameRecord(RecTrim, exp, cum, nil)
+	j.stageRecord(RecTrim, exp, cum, nil)
 }
 
-// Flush blocks until every record enqueued before the call has been
+// stageRecord frames one record into the staging buffer, first waiting
+// for the writer to swap out a buffer without room for it. A record
+// larger than a whole buffer is staged alone, growing the buffer for
+// that one swap. Records staged after Close are discarded.
+func (j *Journal) stageRecord(typ byte, exp wire.ExperimentID, seq uint64, payload []byte) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for len(j.stage) > 0 && len(j.stage)+RecOverhead+len(payload) > cap(j.stage) && !j.closed {
+		j.moved.Wait()
+	}
+	if j.closed {
+		return
+	}
+	if len(j.stage) == 0 {
+		select {
+		case j.wake <- struct{}{}:
+		default:
+		}
+	}
+	j.stage = appendRecord(j.stage, typ, exp, seq, payload)
+	j.staged++
+}
+
+// Flush blocks until every record staged before the call has been
 // written to the active segment file (not necessarily fsynced). The
 // crash-consistency barrier: an in-process Crash flushes before Replay,
 // modelling that the OS had the writes even though the process died.
 // Allocation-free, so alloc-gated tests can barrier the writer inside a
 // measured loop.
 func (j *Journal) Flush() {
-	j.flushMu.Lock()
-	defer j.flushMu.Unlock()
-	select {
-	case j.flushReq <- struct{}{}:
-		select {
-		case <-j.flushAck:
-		case <-j.done:
-		}
-	case <-j.done:
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for target := j.staged; j.written < target; {
+		j.moved.Wait()
 	}
 }
 
@@ -326,7 +346,11 @@ func (j *Journal) Replay() (*Recovered, error) {
 // segment. The journal is unusable afterwards.
 func (j *Journal) Close() error {
 	j.closeOnce.Do(func() {
-		close(j.done)
+		j.mu.Lock()
+		j.closed = true
+		close(j.wake)
+		j.moved.Broadcast()
+		j.mu.Unlock()
 		j.wg.Wait()
 		j.closeErr = j.f.Close()
 	})
@@ -385,93 +409,66 @@ func (j *Journal) openSegment(index uint64) error {
 	return nil
 }
 
-// run is the writer goroutine: drain staged records, coalesce them into
-// one file write, group-commit, roll and recycle segments. Steady-state
-// allocation-free (reused batch and write buffers, pooled records
-// released after writing) so the ingest-path alloc gates hold with
-// journaling enabled.
+// run is the writer goroutine: swap out the staging buffer, write it,
+// group-commit, roll and recycle segments. Steady-state allocation-free
+// (the two staging buffers are reused) so the ingest-path alloc gates
+// hold with journaling enabled.
 func (j *Journal) run() {
 	defer j.wg.Done()
-	for {
-		select {
-		case rec := <-j.in:
-			j.drainAndWrite(rec)
-		case <-j.flushReq:
-			j.drainPending()
-			j.flushAck <- struct{}{}
-		case <-j.done:
-			j.drainPending()
-			j.sync()
-			return
-		}
+	for range j.wake {
+		j.drain()
 	}
+	j.drain()
+	j.sync()
 }
 
-// drainPending writes every record currently staged in the channel.
-func (j *Journal) drainPending() {
-	for {
-		select {
-		case rec := <-j.in:
-			j.drainAndWrite(rec)
-		default:
-			return
-		}
+// drain swaps the staging buffer for the spare and writes every record
+// it held with one file write, split at a record boundary only where
+// the segment rolls (and per record under SyncAlways). Under SyncBatch
+// the swap ends with one fsync. Segment roll and recycling follow.
+func (j *Journal) drain() {
+	j.mu.Lock()
+	buf := j.stage
+	if len(buf) == 0 {
+		j.mu.Unlock()
+		return
 	}
-}
+	j.stage = j.spare
+	j.moved.Broadcast()
+	j.mu.Unlock()
 
-// drainAndWrite batches rec with whatever else is already staged (up to
-// batchMax), writes the batch with one coalesced file write, applies the
-// sync policy, and handles segment roll + recycling.
-func (j *Journal) drainAndWrite(rec []byte) {
-	j.batch = j.batch[:0]
-	j.batch = append(j.batch, rec)
-	for len(j.batch) < batchMax {
-		select {
-		case r := <-j.in:
-			j.batch = append(j.batch, r)
-		default:
-			goto drained
-		}
-	}
-drained:
-	j.wbuf = j.wbuf[:0]
-	for _, r := range j.batch {
-		j.bookkeep(r)
-		switch {
-		case j.opts.Sync == SyncAlways:
-			j.write(r)
-			j.sync()
-		case len(j.wbuf)+len(r) > cap(j.wbuf):
-			j.flushWbuf()
-			if len(r) > cap(j.wbuf) {
-				j.write(r)
-			} else {
-				j.wbuf = append(j.wbuf, r...)
+	always := j.opts.Sync == SyncAlways
+	recs, start := uint64(0), 0
+	for off := 0; off < len(buf); recs++ {
+		n := RecOverhead + int(binary.BigEndian.Uint32(buf[off+13:off+RecHeaderLen]))
+		j.bookkeep(buf[off : off+n])
+		off += n
+		if always || j.segBytes+off-start >= j.opts.SegmentBytes {
+			j.write(buf[start:off])
+			start = off
+			if always {
+				j.sync()
 			}
-		default:
-			j.wbuf = append(j.wbuf, r...)
+			if j.segBytes >= j.opts.SegmentBytes {
+				j.roll()
+			}
 		}
 	}
-	j.flushWbuf()
-	if j.opts.Sync == SyncBatch {
-		j.sync()
+	if start < len(buf) {
+		j.write(buf[start:])
+		if j.opts.Sync == SyncBatch {
+			j.sync()
+		}
 	}
-	for i, r := range j.batch {
-		wire.ReleaseBuffer(r)
-		j.batch[i] = nil
+	j.mu.Lock()
+	j.written += recs
+	j.moved.Broadcast()
+	j.mu.Unlock()
+	if cap(buf) > stageCap {
+		buf = make([]byte, 0, stageCap) // drop an oversized record's growth
 	}
-	if j.segBytes >= j.opts.SegmentBytes {
-		j.roll()
-	}
+	j.spare = buf[:0]
 	j.recycleSealed()
-}
-
-// flushWbuf writes the coalescing buffer's contents, if any.
-func (j *Journal) flushWbuf() {
-	if len(j.wbuf) > 0 {
-		j.write(j.wbuf)
-		j.wbuf = j.wbuf[:0]
-	}
 }
 
 // write appends buf to the active segment. Write errors are swallowed —
@@ -514,9 +511,12 @@ func (j *Journal) bookkeep(rec []byte) {
 	}
 }
 
-// roll seals the active segment (fsync + close) and opens the next one.
+// roll seals the active segment (fsync unless SyncNone, then close) and
+// opens the next one.
 func (j *Journal) roll() {
-	j.sync()
+	if j.opts.Sync != SyncNone {
+		j.sync()
+	}
 	j.f.Close()
 	j.sealed = append(j.sealed, sealedSeg{index: j.segIndex, expMax: j.segExpMax})
 	if err := j.openSegment(j.segIndex + 1); err != nil {
@@ -547,9 +547,7 @@ func (j *Journal) recycleSealed() {
 		for exp := range seg.expMax {
 			var tf [8]byte
 			binary.BigEndian.PutUint64(tf[:], j.trimFloor[exp])
-			fr := frameRecord(RecFloors, exp, j.seqFloor[exp], tf[:])
-			j.write(fr)
-			wire.ReleaseBuffer(fr)
+			j.write(appendRecord(j.floorRec[:0], RecFloors, exp, j.seqFloor[exp], tf[:]))
 		}
 		if j.opts.Sync != SyncNone {
 			j.sync()

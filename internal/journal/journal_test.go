@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -18,6 +20,11 @@ func payload(seq uint64, n int) []byte {
 		p[i] = byte(seq) + byte(i)
 	}
 	return p
+}
+
+// frameRecord frames one record into a buffer of its own.
+func frameRecord(typ byte, exp wire.ExperimentID, seq uint64, p []byte) []byte {
+	return appendRecord(nil, typ, exp, seq, p)
 }
 
 // openT opens a journal in dir, failing the test on error.
@@ -288,6 +295,10 @@ func TestJournalSyncPolicies(t *testing.T) {
 		for seq := uint64(1); seq <= 5; seq++ {
 			j.Append(testExp, seq, payload(seq, 64))
 		}
+		j.Flush()
+		if got := j.Pending(); got != 0 {
+			t.Fatalf("sync=%s: Pending() = %d after Flush, want 0", sync, got)
+		}
 		j.Close()
 		j2, rec := openT(t, Options{Dir: dir, Sync: sync})
 		if rec.Replayed != 5 {
@@ -301,6 +312,22 @@ func TestJournalSyncPolicies(t *testing.T) {
 			t.Fatalf("sync=none journal counted %d fsyncs before any write", st.Fsyncs)
 		}
 	}
+	// SyncNone never fsyncs, segment rolls included.
+	dir := t.TempDir()
+	j, _ := openT(t, Options{Dir: dir, Sync: SyncNone, SegmentBytes: 1024})
+	for seq := uint64(1); seq <= 64; seq++ {
+		j.Append(testExp, seq, payload(seq, 64))
+		if seq%8 == 0 {
+			j.Flush()
+		}
+	}
+	if segs := listTestSegments(t, dir); len(segs) < 3 {
+		t.Fatalf("sync=none journal rolled %d segments, want ≥2", len(segs)-1)
+	}
+	if got := j.Stats().Fsyncs; got != 0 {
+		t.Fatalf("sync=none journal fsynced %d times across segment rolls, want 0", got)
+	}
+	j.Close()
 	if _, _, err := Open(Options{Dir: t.TempDir(), Sync: "sometimes"}); err == nil {
 		t.Fatal("Open accepted an unknown sync policy")
 	}
@@ -344,4 +371,153 @@ func listTestSegments(t *testing.T, dir string) []string {
 		out = append(out, s.path)
 	}
 	return out
+}
+
+// TestJournalStagingCrossesCapacity stages a mix of record sizes worth
+// many staging buffers without a barrier in between — so the hot path
+// repeatedly finds the buffer full and waits for the writer — plus one
+// record larger than a whole staging buffer. Replay must return every
+// payload byte-identical in append order, and every segment but the
+// last must end at the first record boundary past the roll threshold.
+func TestJournalStagingCrossesCapacity(t *testing.T) {
+	const segBytes = 64 << 10
+	dir := t.TempDir()
+	j, _ := openT(t, Options{Dir: dir, Sync: SyncNone, SegmentBytes: segBytes})
+	sizes := []int{0, 1, 17, 500, 1024, 4000, 9000}
+	var want [][]byte
+	var total int
+	for seq := uint64(1); total < 12*stageCap; seq++ {
+		n := sizes[int(seq)%len(sizes)]
+		if seq == 300 {
+			n = stageCap + 1000
+		}
+		p := payload(seq, n)
+		j.Append(testExp, seq, p)
+		want = append(want, p)
+		total += RecOverhead + n
+	}
+	j.Flush()
+	if got := j.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after Flush, want 0", got)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	segs := listTestSegments(t, dir)
+	if len(segs) < 10 {
+		t.Fatalf("%d segments for %d journalled bytes, want ≥10 rolls", len(segs), total)
+	}
+	for _, path := range segs[:len(segs)-1] {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off, last := SegHeaderLen, 0
+		for off < len(data) {
+			_, _, _, _, size, ok := parseRecord(data[off:])
+			if !ok {
+				t.Fatalf("%s: bad record at offset %d", filepath.Base(path), off)
+			}
+			off, last = off+size, size
+		}
+		if len(data) < segBytes || len(data)-last >= segBytes {
+			t.Fatalf("%s: %d bytes (last record %d) — not rolled at the first boundary past %d",
+				filepath.Base(path), len(data), last, segBytes)
+		}
+	}
+
+	j2, rec := openT(t, Options{Dir: dir})
+	defer j2.Close()
+	checkBalance(t, rec)
+	if len(rec.Entries) != len(want) {
+		t.Fatalf("replayed %d entries, want %d", len(rec.Entries), len(want))
+	}
+	for i, e := range rec.Entries {
+		if e.Seq != uint64(i+1) || !bytes.Equal(e.Payload, want[i]) {
+			t.Fatalf("entry %d: seq %d, %d payload bytes — want seq %d, %d bytes, byte-identical",
+				i, e.Seq, len(e.Payload), i+1, len(want[i]))
+		}
+	}
+}
+
+// TestJournalConcurrentBarriers races the serialised producer (Append +
+// TrimTo) against Flush, Pending and Stats from other goroutines; run
+// under -race it checks the staging hand-off's locking.
+func TestJournalConcurrentBarriers(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := openT(t, Options{Dir: dir, SegmentBytes: 32 << 10})
+	const n = 4000
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				switch g {
+				case 0:
+					j.Flush()
+				case 1:
+					if p := j.Pending(); p < 0 || p > n+n/8 {
+						t.Errorf("Pending() = %d outside [0, %d]", p, n+n/8)
+						return
+					}
+				case 2:
+					if st := j.Stats(); st.Appends > n {
+						t.Errorf("Stats().Appends = %d > %d", st.Appends, n)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	for seq := uint64(1); seq <= n; seq++ {
+		j.Append(testExp, seq, payload(seq, 200))
+		if seq%8 == 0 {
+			j.TrimTo(testExp, seq-4)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	j.Flush()
+	if got := j.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after Flush, want 0", got)
+	}
+	j.Close()
+
+	j2, rec := openT(t, Options{Dir: dir})
+	defer j2.Close()
+	checkBalance(t, rec)
+	if got := rec.Seqs[testExp]; got != n {
+		t.Fatalf("sequence floor %d, want %d", got, n)
+	}
+	if rec.Replayed != 4 {
+		t.Fatalf("replayed %d entries, want the 4 untrimmed", rec.Replayed)
+	}
+}
+
+// TestJournalAppendAfterCloseReturns checks records staged after Close
+// are discarded rather than blocking on a writer that has gone.
+func TestJournalAppendAfterCloseReturns(t *testing.T) {
+	j, _ := openT(t, Options{Dir: t.TempDir()})
+	j.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		big := payload(1, 4096)
+		for seq := uint64(1); seq <= uint64(4*stageCap/len(big)); seq++ {
+			j.Append(testExp, seq, big)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Append after Close blocked")
+	}
 }

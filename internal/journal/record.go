@@ -60,20 +60,17 @@ const maxRecPayload = 1 << 20
 // castagnoli is the CRC-32C table shared by framing and recovery.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// frameRecord serialises one record into a pooled buffer sized exactly
-// RecOverhead + len(payload). The caller (the hot path) hands the buffer
-// to the writer goroutine, which releases it after the file write — the
-// append path itself performs no allocation.
-func frameRecord(typ byte, exp wire.ExperimentID, seq uint64, payload []byte) []byte {
-	rec := wire.GetBuffer(RecOverhead + len(payload))
-	rec[0] = typ
-	binary.BigEndian.PutUint32(rec[1:5], uint32(exp))
-	binary.BigEndian.PutUint64(rec[5:13], seq)
-	binary.BigEndian.PutUint32(rec[13:17], uint32(len(payload)))
-	copy(rec[RecHeaderLen:], payload)
-	crc := crc32.Checksum(rec[:RecHeaderLen+len(payload)], castagnoli)
-	binary.BigEndian.PutUint32(rec[RecHeaderLen+len(payload):], crc)
-	return rec
+// appendRecord frames one record onto dst: header, payload copy, then the
+// CRC-32C of both. The hot path frames straight into the journal's
+// staging buffer, so a record costs one copy and no allocation.
+func appendRecord(dst []byte, typ byte, exp wire.ExperimentID, seq uint64, payload []byte) []byte {
+	start := len(dst)
+	dst = append(dst, typ)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(exp))
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, payload...)
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
 // segHeader serialises the segment header for (shard, index).

@@ -54,7 +54,7 @@ func (s *Set) Recovered(i int) *Recovered {
 	return s.recs[i]
 }
 
-// Flush barriers every shard: all records enqueued before the call are
+// Flush barriers every shard: all records staged before the call are
 // in the segment files when it returns.
 func (s *Set) Flush() {
 	for _, j := range s.js {
@@ -91,8 +91,8 @@ func (s *Set) Recoveries() []*Recovered {
 	return out
 }
 
-// Pending sums the per-shard journals' flush lag (records enqueued to
-// the writers but not yet in the segment files).
+// Pending sums the per-shard journals' flush lag (records staged but not
+// yet in the segment files).
 func (s *Set) Pending() int {
 	total := 0
 	for _, j := range s.js {

@@ -56,8 +56,8 @@ const (
 	MetricJournalSegmentsRecycled = "dmtp.journal.segments_recycled"
 	MetricJournalReplayed         = "dmtp.journal.replayed"
 	MetricJournalTruncatedTails   = "dmtp.journal.truncated_tails"
-	// MetricJournalPending is the journal flush lag: records enqueued to
-	// the per-shard writers but not yet written to the segment files.
+	// MetricJournalPending is the journal flush lag: records staged in the
+	// per-shard staging buffers but not yet written to the segment files.
 	MetricJournalPending = "dmtp.journal.pending"
 	// The dmtp.journal.recovery.* gauges expose the most recent journal
 	// recovery (startup scan or crash replay) summed across shards, so the
@@ -189,12 +189,12 @@ var Catalog = []Info{
 	{MetricJournalAppends, KindGauge, "records", "stash inserts journalled to the write-ahead log"},
 	{MetricJournalAppendBytes, KindGauge, "bytes", "stash payload bytes journalled by those appends"},
 	{MetricJournalTombstones, KindGauge, "records", "release records journalled (capacity evictions plus cumulative-ACK trims)"},
-	{MetricJournalFsyncs, KindGauge, "syncs", "fsync calls issued by the journal writers (one per group-committed batch under -journal-sync batch)"},
+	{MetricJournalFsyncs, KindGauge, "syncs", "fsync calls issued by the journal writers (one per staging-buffer swap under -journal-sync batch; none ever under -journal-sync none)"},
 	{MetricJournalFsyncNs, KindHist, "ns", "fsync latency of the journal writers"},
 	{MetricJournalSegmentsRecycled, KindGauge, "segments", "fully-trimmed journal segment files deleted"},
 	{MetricJournalReplayed, KindGauge, "records", "stash entries rebuilt from the journal by recovery (startup open plus crash replays)"},
 	{MetricJournalTruncatedTails, KindGauge, "events", "torn final-segment tails truncated during recovery"},
-	{MetricJournalPending, KindGauge, "records", "journal flush lag: records enqueued to the writers but not yet in the segment files"},
+	{MetricJournalPending, KindGauge, "records", "journal flush lag: records staged in the journals' staging buffers but not yet written to the segment files"},
 	{MetricJournalRecoveryAppended, KindGauge, "records", "append records scanned by the most recent journal recovery (summed across shards)"},
 	{MetricJournalRecoveryTombstoned, KindGauge, "records", "entry removals applied by the most recent journal recovery (tombstones, trim sweeps, overwrites)"},
 	{MetricJournalRecoveryReplayed, KindGauge, "records", "stash entries the most recent journal recovery rebuilt; appended − tombstoned must equal this"},
